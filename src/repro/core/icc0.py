@@ -489,9 +489,7 @@ class ICC0Party:
             target: Block | None = None
             finalization: Finalization | None = None
             combined_here = False
-            for k in self.pool.rounds_with_final_activity():
-                if k <= self.k_max:
-                    continue
+            for k in self.pool.rounds_with_final_activity(self.k_max):
                 done = self.pool.finalized_blocks(k)
                 if done:
                     target = min(done, key=lambda b: b.hash)

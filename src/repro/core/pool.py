@@ -23,7 +23,13 @@ stored ∪ pending) but their signature crypto is queued and verified in one
 RLC batch (:mod:`repro.crypto.api` / :mod:`repro.crypto.fastpath`) the next
 time a query needs the answer.  Every query that observes shares flushes
 what it observes first, so observable pool state is identical to the
-eager path.  The only divergences are forgery-only (and simulated
+eager path.  Three paths deliberately observe nothing and verify
+nothing: ``rounds_with_final_activity`` (served from an index that counts
+pending shares, so the finalization watcher verifies a round's shares only
+when it asks whether that round can combine), ``prune`` (pending shares of
+pruned rounds are dropped unverified), and ``artifact_count``.  A late
+share for a round the party already committed is therefore never
+verified.  The only divergences are forgery-only (and simulated
 adversaries never forge — see :mod:`repro.crypto.keyring`): ``add`` returns
 True for a queued share that a later flush drops, and re-adding a forged
 share before its flush counts as a duplicate rather than a second invalid.
@@ -50,6 +56,7 @@ set regardless of how shares are grouped into batches.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -140,6 +147,10 @@ class MessagePool:
         self._finalizations: dict[bytes, Finalization] = {}
         self._notar_shares: dict[bytes, dict[int, NotarizationShare]] = defaultdict(dict)
         self._final_shares: dict[bytes, dict[int, FinalizationShare]] = defaultdict(dict)
+        # Sorted, duplicate-free rounds that have a finalized block or a
+        # finalization share (pending or verified); see
+        # rounds_with_final_activity.  Trimmed by prune.
+        self._final_rounds: list[int] = []
 
         # Random-beacon state.  beacon value of round 0 is the genesis value.
         self.beacon_values: dict[int, bytes] = {0: GENESIS_BEACON}
@@ -230,7 +241,10 @@ class MessagePool:
 
     def _add_notar_share(self, share: NotarizationShare) -> bool:
         h = share.block_hash
-        if share.signer in self._notar_shares[h] or share.signer in self._pending_notar.get(h, ()):
+        if (
+            share.signer in self._notar_shares.get(h, ())
+            or share.signer in self._pending_notar.get(h, ())
+        ):
             self.stats.duplicates += 1
             return False
         if self._keys.share_index(share.share) != share.signer:
@@ -267,7 +281,10 @@ class MessagePool:
 
     def _add_final_share(self, share: FinalizationShare) -> bool:
         h = share.block_hash
-        if share.signer in self._final_shares[h] or share.signer in self._pending_final.get(h, ()):
+        if (
+            share.signer in self._final_shares.get(h, ())
+            or share.signer in self._pending_final.get(h, ())
+        ):
             self.stats.duplicates += 1
             return False
         if self._keys.share_index(share.share) != share.signer:
@@ -275,6 +292,7 @@ class MessagePool:
             return False
         if self.batch_verify:
             self._pending_final[h][share.signer] = share
+            self._note_final_round(share.round)
             self._pending_final_count += 1
             if self._pending_final_since is None:
                 self._pending_final_since = self._now()
@@ -286,6 +304,7 @@ class MessagePool:
             self.stats.invalid_dropped += 1
             return False
         self._final_shares[h][share.signer] = share
+        self._note_final_round(share.round)
         return True
 
     def _add_finalization(self, finalization: Finalization) -> bool:
@@ -307,7 +326,7 @@ class MessagePool:
             self.stats.invalid_dropped += 1
             return False
         if (
-            share.signer in self._beacon_shares[share.round]
+            share.signer in self._beacon_shares.get(share.round, ())
             or share.signer in self._pending_beacon.get(share.round, ())
         ):
             self.stats.duplicates += 1
@@ -509,6 +528,12 @@ class MessagePool:
         if h in self._finalized or h not in self._valid or h not in self._finalizations:
             return
         self._finalized.add(h)
+        self._note_final_round(self.blocks[h].round)
+
+    def _note_final_round(self, round: int) -> None:
+        i = bisect_left(self._final_rounds, round)
+        if i == len(self._final_rounds) or self._final_rounds[i] != round:
+            self._final_rounds.insert(i, round)
 
     # -- predicates (Section 3.4) ------------------------------------------------
 
@@ -592,16 +617,19 @@ class MessagePool:
                     return self.blocks[h]
         return None
 
-    def rounds_with_final_activity(self) -> list[int]:
-        """Rounds that have any finalization or finalization share."""
-        self._flush_final()
-        rounds = {
-            self.blocks[h].round
-            for h in self._finalized
-            if h != ROOT_HASH
-        }
-        rounds.update(s.round for shares in self._final_shares.values() for s in shares.values())
-        return sorted(rounds)
+    def rounds_with_final_activity(self, above: int = 0) -> list[int]:
+        """Rounds > ``above``, ascending, with a finalized block or a
+        finalization share.
+
+        Read from an index kept up to date on insert and trimmed by
+        :meth:`prune`, so the cost is that of the returned slice, not of
+        the pool's history.  Pending shares count as activity and are
+        *not* verified here: :meth:`combinable_finalization` verifies a
+        round's shares only when the watcher asks about that round.  A
+        round whose only shares turn out forged therefore stays listed;
+        asking about it just finds nothing to combine.
+        """
+        return self._final_rounds[bisect_right(self._final_rounds, above):]
 
     def chain(self, h: bytes) -> list[Block]:
         """Blocks from root (exclusive) to the block with hash ``h``."""
@@ -649,7 +677,7 @@ class MessagePool:
         pending = self._pending_beacon_shares.pop(round + 1, [])
         for share in pending:
             if (
-                share.signer not in self._beacon_shares[share.round]
+                share.signer not in self._beacon_shares.get(share.round, ())
                 and share.signer not in self._pending_beacon.get(share.round, ())
             ):
                 self._verify_and_store_beacon_share(share, value)
@@ -706,20 +734,24 @@ class MessagePool:
         practical implementation discards messages that are no longer
         relevant (Section 3.1).  Safe once the caller has committed through
         ``before_round``: predicates for live rounds never consult pruned
-        rounds (a new block's parent is at its own round - 1).  Returns the
-        number of blocks removed.
+        rounds (a new block's parent is at its own round - 1).  Pending
+        shares of pruned rounds are dropped unverified; those of later
+        rounds stay pending.  Returns the number of blocks removed.
         """
-        self.flush_pending()
-        doomed = [
+        doomed = {
             h
             for round, hashes in self._blocks_by_round.items()
             if round < before_round
             for h in hashes
-        ]
+        }
         for h in doomed:
             block = self.blocks.pop(h)
             self._children.pop(h, None)
-            self._children.get(block.parent_hash, set()).discard(h)
+            siblings = self._children.get(block.parent_hash)
+            if siblings is not None:
+                siblings.discard(h)
+                if not siblings:
+                    del self._children[block.parent_hash]
             self._authentic.discard(h)
             self._valid.discard(h)
             self._notarized.discard(h)
@@ -727,14 +759,24 @@ class MessagePool:
             self._authenticators.pop(h, None)
             self._notarizations.pop(h, None)
             self._finalizations.pop(h, None)
-            self._notar_shares.pop(h, None)
-            self._final_shares.pop(h, None)
         for round in [r for r in self._blocks_by_round if r < before_round]:
             del self._blocks_by_round[round]
-        for round in [r for r in self._beacon_shares if r < before_round]:
-            del self._beacon_shares[round]
         for round in [r for r in self._pending_beacon_shares if r < before_round]:
             del self._pending_beacon_shares[round]
+        # Verified and pending shares go by their own round, so buckets of
+        # blocks that never arrived are freed too.
+        for verified in (self._notar_shares, self._final_shares, self._beacon_shares):
+            self._prune_shares(verified, before_round, doomed)
+        self._pending_notar_count -= self._prune_shares(self._pending_notar, before_round, doomed)
+        self._pending_final_count -= self._prune_shares(self._pending_final, before_round, doomed)
+        self._pending_beacon_count -= self._prune_shares(self._pending_beacon, before_round, doomed)
+        if not self._pending_notar:
+            self._pending_notar_since = None
+        if not self._pending_final:
+            self._pending_final_since = None
+        if not self._pending_beacon:
+            self._pending_beacon_since = None
+        del self._final_rounds[: bisect_left(self._final_rounds, before_round)]
         if self._tracer.enabled and doomed:
             self._tracer.emit(
                 time=self._trace_sim.now if self._trace_sim is not None else 0.0,
@@ -746,15 +788,39 @@ class MessagePool:
             )
         return len(doomed)
 
+    @staticmethod
+    def _prune_shares(buckets: dict, before_round: int, doomed: set) -> int:
+        """Drop the shares of pruned rounds or pruned blocks from a
+        ``key -> signer -> share`` map, and the buckets left empty;
+        returns how many shares were dropped."""
+        dropped = 0
+        for key in list(buckets):
+            bucket = buckets[key]
+            if key in doomed:
+                gone = list(bucket)
+            else:
+                gone = [signer for signer, s in bucket.items() if s.round < before_round]
+            for signer in gone:
+                del bucket[signer]
+            dropped += len(gone)
+            if not bucket:
+                del buckets[key]
+        return dropped
+
     def artifact_count(self) -> int:
-        """Rough pool size (for memory-boundedness tests)."""
-        self.flush_pending()
+        """Pool size (for memory-boundedness tests and monitoring probes).
+
+        Counts verified artifacts plus shares still pending verification;
+        runs no verification, so probing it never changes pool state.
+        """
+        buckets = (
+            self._notar_shares, self._final_shares, self._beacon_shares,
+            self._pending_notar, self._pending_final, self._pending_beacon,
+        )
         return (
             len(self.blocks)
             + len(self._authenticators)
             + len(self._notarizations)
             + len(self._finalizations)
-            + sum(len(v) for v in self._notar_shares.values())
-            + sum(len(v) for v in self._final_shares.values())
-            + sum(len(v) for v in self._beacon_shares.values())
+            + sum(len(v) for shares in buckets for v in shares.values())
         )

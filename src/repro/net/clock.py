@@ -28,6 +28,7 @@ live transport demonstrates.
 from __future__ import annotations
 
 import asyncio
+from itertools import count
 from random import Random
 from typing import Callable
 
@@ -50,6 +51,9 @@ class WallClock:
         #: these references at construction.
         self.tracer = NULL_TRACER
         self.meter = NULL_METER
+        # Scheduled callbacks that have not run yet, for cancel_all.
+        self._pending: dict[int, asyncio.TimerHandle] = {}
+        self._tokens = count()
 
     # -- the Simulation surface the parties use -----------------------------
 
@@ -62,7 +66,7 @@ class WallClock:
         """Run ``action`` after ``delay`` wall-clock seconds (>= 0)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.loop.call_later(delay, action)
+        return self._call_later(delay, action)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> asyncio.TimerHandle:
         """Run ``action`` once ``now`` reaches ``time``.
@@ -72,7 +76,28 @@ class WallClock:
         this call executing, so a "late" schedule is normal — the action
         simply runs as soon as possible.
         """
-        return self.loop.call_later(max(0.0, time - self.now), action)
+        return self._call_later(max(0.0, time - self.now), action)
+
+    def cancel_all(self) -> None:
+        """Cancel every scheduled action that has not run yet.
+
+        A pending timer references its action's owner, so a stopped party
+        stays in memory until its last timer fires unless this is called.
+        Handles the caller cancelled itself are only forgotten here.
+        """
+        for handle in self._pending.values():
+            handle.cancel()
+        self._pending.clear()
+
+    def _call_later(self, delay: float, action: Callable[[], None]) -> asyncio.TimerHandle:
+        token = next(self._tokens)
+        handle = self.loop.call_later(delay, self._run, token, action)
+        self._pending[token] = handle
+        return handle
+
+    def _run(self, token: int, action: Callable[[], None]) -> None:
+        del self._pending[token]
+        action()
 
     def fork_rng(self, label: str = "") -> Random:
         """Derive an independent RNG stream (same contract as Simulation)."""

@@ -159,7 +159,6 @@ class LiveParty:
         self._height_event = asyncio.Event()
         self.party.commit_listeners.append(lambda _block: self._height_event.set())
         self._started = False
-        self._load_handle: asyncio.TimerHandle | None = None
         self.run_id = config.effective_run_id()
         # Answer STAT frames with this party's live snapshot (repro top).
         self.network.stats_provider = self.stat_snapshot
@@ -189,11 +188,7 @@ class LiveParty:
             now = self.clock.now
             self.batcher.admit_batch([(request, now) for request in chunk])
         if self._load_queue:
-            self._load_handle = self.clock.schedule(
-                self.config.load_tick, self._pump_load
-            )
-        else:
-            self._load_handle = None
+            self.clock.schedule(self.config.load_tick, self._pump_load)
 
     async def wait_for_height(self, height: int, timeout: float) -> bool:
         """True once the local party has committed through ``height``."""
@@ -210,27 +205,12 @@ class LiveParty:
         return True
 
     async def stop(self) -> None:
-        if self._load_handle is not None:
-            self._load_handle.cancel()
-            self._load_handle = None
+        # Pending timers hold the party: Δprop/Δntry wakes run seconds
+        # ahead, and would keep a stopped party's whole pool alive.
+        self.clock.cancel_all()
         await self.network.stop()
 
     # -- results --------------------------------------------------------------
-
-    def _pool_depth(self) -> int:
-        """Artifacts currently buffered in the message pool (non-mutating
-        — unlike ``MessagePool.artifact_count`` this must not flush
-        pending batches from a monitoring probe)."""
-        pool = self.party.pool
-        return (
-            len(pool.blocks)
-            + len(pool._authenticators)
-            + len(pool._notarizations)
-            + len(pool._finalizations)
-            + sum(len(v) for v in pool._notar_shares.values())
-            + sum(len(v) for v in pool._final_shares.values())
-            + sum(len(v) for v in pool._beacon_shares.values())
-        )
 
     def stat_snapshot(self) -> dict:
         """The JSON answer to a STAT frame: this party right now.
@@ -248,7 +228,7 @@ class LiveParty:
             "run_id": self.run_id,
             "cluster_id": self.config.cluster_id,
             "height": self.party.k_max,
-            "pool_depth": self._pool_depth(),
+            "pool_depth": self.party.pool.artifact_count(),
             "link_backlog": sum(
                 link.queued for link in self.network._links.values()
             ),

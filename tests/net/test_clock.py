@@ -57,6 +57,22 @@ class TestWallClock:
 
         assert run(scenario())
 
+    def test_cancel_all_drops_pending_actions(self):
+        async def scenario():
+            clock = WallClock(loop=asyncio.get_running_loop())
+            fired = []
+            clock.schedule(0.0, lambda: fired.append("now"))
+            await asyncio.sleep(0.01)
+            clock.schedule(0.02, lambda: fired.append("soon"))
+            clock.schedule_at(clock.now + 60.0, lambda: fired.append("late"))
+            assert len(clock._pending) == 2  # the fired action is forgotten
+            clock.cancel_all()
+            assert not clock._pending
+            await asyncio.sleep(0.05)
+            return fired
+
+        assert run(scenario()) == ["now"]
+
     def test_default_sinks_are_null(self):
         async def scenario():
             clock = WallClock(loop=asyncio.get_running_loop())

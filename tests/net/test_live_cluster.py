@@ -55,6 +55,20 @@ class TestLiveCluster:
         assert shortest >= 3
         assert len({tuple(c[:shortest]) for c in chains}) == 1
 
+    def test_stop_cancels_pending_protocol_timers(self):
+        """A party's Δprop/Δntry wakes run seconds ahead; stopping the
+        cluster must cancel them rather than let them keep its pool alive."""
+
+        async def scenario():
+            async with LiveCluster(quick_config()) as cluster:
+                assert await cluster.wait_for_height(3, 30.0)
+                running = [len(live.clock._pending) for live in cluster.parties]
+            return running, [len(live.clock._pending) for live in cluster.parties]
+
+        running, stopped = asyncio.run(scenario())
+        assert min(running) > 0
+        assert stopped == [0] * 4
+
     def test_client_load_commits_through_batching_pipeline(self):
         config = quick_config(
             target_height=4, load_requests=24, load_batch=8, seed=2,
