@@ -583,28 +583,48 @@ class MessagePool:
     def finalization_of(self, h: bytes) -> Finalization | None:
         return self._finalizations.get(h)
 
+    def _block_shares(self, shares: dict, h: bytes) -> list:
+        """Verified shares filed under ``h`` that sign the block's own
+        round and proposer (all of them while the block is unknown).
+
+        A share's signature covers its own ``round``/``proposer`` fields,
+        so a corrupt signer can file a valid share over a wrong round
+        under a real block hash.  Such a share neither counts toward the
+        block's quorum nor is combined into its aggregate.
+        """
+        bucket = shares.get(h)
+        if not bucket:
+            return []
+        block = self.blocks.get(h)
+        if block is None:
+            return list(bucket.values())
+        return [
+            s for s in bucket.values()
+            if s.round == block.round and s.proposer == block.proposer
+        ]
+
     def notar_share_count(self, h: bytes) -> int:
         self._flush_notar((h,))
-        return len(self._notar_shares.get(h, ()))
+        return len(self._block_shares(self._notar_shares, h))
 
     def notar_shares(self, h: bytes) -> list[NotarizationShare]:
         self._flush_notar((h,))
-        return list(self._notar_shares.get(h, {}).values())
+        return self._block_shares(self._notar_shares, h)
 
     def final_share_count(self, h: bytes) -> int:
         self._flush_final((h,))
-        return len(self._final_shares.get(h, ()))
+        return len(self._block_shares(self._final_shares, h))
 
     def final_shares(self, h: bytes) -> list[FinalizationShare]:
         self._flush_final((h,))
-        return list(self._final_shares.get(h, {}).values())
+        return self._block_shares(self._final_shares, h)
 
     def combinable_notarization(self, round: int, quorum: int) -> Block | None:
         """A valid, non-notarized round-k block with >= quorum notar shares."""
         self._flush_notar(sorted(self._blocks_by_round.get(round, ())))
         for h in self._blocks_by_round.get(round, ()):
             if h in self._valid and h not in self._notarized:
-                if len(self._notar_shares.get(h, ())) >= quorum:
+                if len(self._block_shares(self._notar_shares, h)) >= quorum:
                     return self.blocks[h]
         return None
 
@@ -613,7 +633,7 @@ class MessagePool:
         self._flush_final(sorted(self._blocks_by_round.get(round, ())))
         for h in self._blocks_by_round.get(round, ()):
             if h in self._valid and h not in self._finalized:
-                if len(self._final_shares.get(h, ())) >= quorum:
+                if len(self._block_shares(self._final_shares, h)) >= quorum:
                     return self.blocks[h]
         return None
 

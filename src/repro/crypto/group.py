@@ -67,8 +67,14 @@ class Group:
     def cofactor(self) -> int:
         return (self.p - 1) // self.q
 
-    @property
+    @cached_property
     def scalar_field(self) -> PrimeField:
+        """Z_q, built once per group.
+
+        Cached on the instance: building a :class:`PrimeField` runs a
+        Miller–Rabin test on q, and every signing nonce and beacon combine
+        asks for the field.
+        """
         return PrimeField(self.q)
 
     @cached_property

@@ -205,6 +205,33 @@ class RealKeyring:
         )
         return api.BatchResult(results=results, stats=stats)
 
+    # -- aggregates from share verdicts -----------------------------------
+    #
+    # An aggregate is valid iff it names enough distinct signatories and
+    # its carried shares are valid.  The shares go through the same cache
+    # keys as the party's own share verification, so the n-t shares a
+    # party combined a moment ago are not verified a second time; shares
+    # it never judged are verified here.  Verdicts equal the stateless
+    # ``suite.multisig`` / ``suite.threshold`` verifiers'.
+
+    def _multisig_ok(self, kind: str, pk, message: bytes, agg) -> bool:
+        if len(set(agg.signatories)) < pk.threshold:
+            return False
+        items = [(message, share) for share in agg.shares]
+        return self._batch_cached(kind, self._suite.multisig_share, pk, items).all_valid()
+
+    def _threshold_ok(self, message: bytes, sig) -> bool:
+        pk = self._shared.beacon_pk
+        chosen = threshold._dedupe_by_index(list(sig.shares))[: pk.threshold]
+        if len(chosen) < pk.threshold:
+            return False
+        items = [(message, share) for share in chosen]
+        if not self._batch_cached(
+            "beacon-share", self._suite.threshold_share, pk, items
+        ).all_valid():
+            return False
+        return threshold.combine(pk, message, chosen).value == sig.value
+
     # S_auth
     def sign_auth(self, message: bytes):
         return self._auth_signer.sign(message, self._rng)
@@ -285,7 +312,9 @@ class RealKeyring:
     def verify_notary(self, message: bytes, agg) -> bool:
         return self._cached(
             "notary-agg", 0, message, agg,
-            lambda: self._suite.multisig.verify(self._shared.notary_pk, message, agg),
+            lambda: self._multisig_ok(
+                "notary-share", self._shared.notary_pk, message, agg
+            ),
         )
 
     # S_final
@@ -309,7 +338,9 @@ class RealKeyring:
     def verify_final(self, message: bytes, agg) -> bool:
         return self._cached(
             "final-agg", 0, message, agg,
-            lambda: self._suite.multisig.verify(self._shared.final_pk, message, agg),
+            lambda: self._multisig_ok(
+                "final-share", self._shared.final_pk, message, agg
+            ),
         )
 
     # S_beacon
@@ -332,8 +363,7 @@ class RealKeyring:
 
     def verify_beacon(self, message: bytes, sig) -> bool:
         return self._cached(
-            "beacon-agg", 0, message, sig,
-            lambda: self._suite.threshold.verify(self._shared.beacon_pk, message, sig),
+            "beacon-agg", 0, message, sig, lambda: self._threshold_ok(message, sig)
         )
 
     def beacon_value(self, sig) -> bytes:

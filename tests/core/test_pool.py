@@ -25,8 +25,8 @@ from repro.crypto.keyring import generate_keyrings
 class Forge:
     """Produces correctly-signed artifacts for tests (n=4, t=1)."""
 
-    def __init__(self, seed=0):
-        self.rings = generate_keyrings(4, 1, seed=seed, backend="fast")
+    def __init__(self, seed=0, backend="fast"):
+        self.rings = generate_keyrings(4, 1, seed=seed, backend=backend)
 
     def block(self, round=1, proposer=1, parent=ROOT_HASH, payload=EMPTY_PAYLOAD):
         return Block(round=round, proposer=proposer, parent_hash=parent, payload=payload)
@@ -40,10 +40,11 @@ class Forge:
             signature=self.rings[block.proposer - 1].sign_auth(signed),
         )
 
-    def notar_share(self, block, signer):
-        signed = msg.notarization_message(block.round, block.proposer, block.hash)
+    def notar_share(self, block, signer, round=None):
+        round = block.round if round is None else round
+        signed = msg.notarization_message(round, block.proposer, block.hash)
         return NotarizationShare(
-            round=block.round,
+            round=round,
             proposer=block.proposer,
             block_hash=block.hash,
             signer=signer,
@@ -60,10 +61,11 @@ class Forge:
             aggregate=self.rings[0].combine_notary(signed, shares),
         )
 
-    def final_share(self, block, signer):
-        signed = msg.finalization_message(block.round, block.proposer, block.hash)
+    def final_share(self, block, signer, round=None):
+        round = block.round if round is None else round
+        signed = msg.finalization_message(round, block.proposer, block.hash)
         return FinalizationShare(
-            round=block.round,
+            round=round,
             proposer=block.proposer,
             block_hash=block.hash,
             signer=signer,
@@ -269,6 +271,68 @@ class TestShareCounting:
             pool.add(forge.final_share(block, signer))
         found = pool.combinable_finalization(1, quorum=3)
         assert found is not None and found.hash == block.hash
+
+
+class TestWrongRoundShares:
+    """A corrupt signer's valid share over a wrong round, filed under a real
+    block hash, neither counts toward the block's quorum nor is combined
+    into its aggregate."""
+
+    def _pool_with_wrong_round_share(self, forge, share_of):
+        pool = forge.pool()
+        block = forge.block(round=1)
+        pool.add(block)
+        pool.add(forge.auth(block))
+        assert pool.add(share_of(block, 4, round=block.round + 1))
+        return pool, block
+
+    def test_notarization(self):
+        forge = Forge(backend="real")
+        pool, block = self._pool_with_wrong_round_share(forge, forge.notar_share)
+        for signer in (1, 2):
+            pool.add(forge.notar_share(block, signer))
+        assert pool.notar_share_count(block.hash) == 2
+        assert pool.combinable_notarization(1, quorum=3) is None
+        pool.add(forge.notar_share(block, 3))
+        assert pool.combinable_notarization(1, quorum=3) == block
+        signed = msg.notarization_message(block.round, block.proposer, block.hash)
+        shares = [s.share for s in pool.notar_shares(block.hash)]
+        aggregate = forge.rings[0].combine_notary(signed, shares)
+        assert forge.rings[1].verify_notary(signed, aggregate)
+        assert pool.add(Notarization(
+            round=block.round, proposer=block.proposer,
+            block_hash=block.hash, aggregate=aggregate,
+        ))
+        assert pool.is_notarized(block.hash)
+
+    def test_finalization(self):
+        forge = Forge(backend="real")
+        pool, block = self._pool_with_wrong_round_share(forge, forge.final_share)
+        for signer in (1, 2):
+            pool.add(forge.final_share(block, signer))
+        assert pool.final_share_count(block.hash) == 2
+        assert pool.combinable_finalization(1, quorum=3) is None
+        pool.add(forge.final_share(block, 3))
+        assert pool.combinable_finalization(1, quorum=3) == block
+        signed = msg.finalization_message(block.round, block.proposer, block.hash)
+        shares = [s.share for s in pool.final_shares(block.hash)]
+        aggregate = forge.rings[0].combine_final(signed, shares)
+        assert forge.rings[1].verify_final(signed, aggregate)
+        assert pool.add(Finalization(
+            round=block.round, proposer=block.proposer,
+            block_hash=block.hash, aggregate=aggregate,
+        ))
+        assert pool.is_finalized(block.hash)
+
+    def test_shares_of_unknown_block_all_listed(self):
+        forge = Forge()
+        pool = forge.pool()
+        block = forge.block(round=1)
+        pool.add(forge.notar_share(block, 4, round=2))
+        pool.add(forge.notar_share(block, 1))
+        assert pool.notar_share_count(block.hash) == 2
+        pool.add(block)
+        assert pool.notar_share_count(block.hash) == 1
 
 
 class TestBeaconShares:

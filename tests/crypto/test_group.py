@@ -45,6 +45,10 @@ class TestParameters:
         with pytest.raises(ValueError):
             group_for_profile("nope")
 
+    def test_scalar_field_built_once(self, group):
+        assert group.scalar_field is group.scalar_field
+        assert group.scalar_field.modulus == group.q
+
     def test_q_must_be_smaller_than_p(self):
         with pytest.raises(ValueError):
             generate_group(96, 96)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto import field, multisig, schnorr, threshold
+from repro.crypto.field import is_probable_prime
 from repro.crypto.keyring import generate_keyrings
 
 
@@ -195,3 +197,132 @@ class TestResultCache:
         hits = ring.cache_hits
         assert not ring.verify_notary_share(b"another-message", share)
         assert ring.cache_hits == hits + 1
+
+
+class TestAggregatesFromShareVerdicts:
+    """Aggregates are checked against the party's own share verdicts: the
+    carried shares go through the same result cache as share verification,
+    and the verdicts equal the stateless verifiers'."""
+
+    N, T = 4, 1
+
+    @pytest.fixture
+    def rings(self):
+        return generate_keyrings(self.N, self.T, seed=7, backend="real")
+
+    @staticmethod
+    def _forged(share):
+        """``share`` with its Schnorr response bumped: never valid."""
+        sig = share.signature
+        return multisig.MultisigShare(
+            index=share.index,
+            signature=schnorr.SchnorrSignature(sig.commitment, sig.response + 1),
+        )
+
+    def test_no_primality_tests_on_the_signing_path(self, rings, monkeypatch):
+        ring = rings[0]
+        beacon = [r.sign_beacon_share(b"warm") for r in rings[: self.T + 1]]
+        ring.combine_beacon(b"warm", beacon)
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_probable_prime(n)
+
+        monkeypatch.setattr(field, "is_probable_prime", counting)
+        for i in range(5):
+            msg = b"m%d" % i
+            ring.sign_auth(msg)
+            ring.sign_notary_share(msg)
+            ring.sign_final_share(msg)
+            ring.sign_beacon_share(msg)
+            ring.combine_beacon(msg, beacon)
+        assert calls == []
+
+    def test_combined_shares_hit_the_cache(self, rings):
+        ring = rings[0]
+        m = b"notarize"
+        quorum = self.N - self.T
+        shares = [r.sign_notary_share(m) for r in rings[:quorum]]
+        assert ring.verify_notary_share_batch([(m, s) for s in shares]).all_valid()
+        agg = ring.combine_notary(m, shares)
+        hits, misses = ring.cache_hits, ring.cache_misses
+        assert ring.verify_notary(m, agg)
+        assert ring.cache_misses == misses + 1  # the aggregate's own entry
+        assert ring.cache_hits == hits + quorum
+
+    def test_unseen_forged_share_rejected(self, rings):
+        ring = rings[0]
+        m = b"notarize"
+        shares = [r.sign_notary_share(m) for r in rings[: self.N - self.T]]
+        ring.verify_notary_share_batch([(m, s) for s in shares[:-1]])
+        forged = shares[:-1] + [self._forged(shares[-1])]
+        assert not ring.verify_notary(m, multisig.Multisignature(tuple(forged)))
+
+    def test_share_judged_invalid_rejected_from_cache(self, rings):
+        ring = rings[0]
+        m = b"finalize"
+        shares = [r.sign_final_share(m) for r in rings[: self.N - self.T]]
+        shares[-1] = self._forged(shares[-1])
+        verdicts = ring.verify_final_share_batch([(m, s) for s in shares])
+        assert verdicts.results == [True, True, False]
+        hits, misses = ring.cache_hits, ring.cache_misses
+        assert not ring.verify_final(m, multisig.Multisignature(tuple(shares)))
+        assert ring.cache_misses == misses + 1
+        assert ring.cache_hits == hits + len(shares)
+
+    def _multisig_cases(self, rings, m, sign):
+        quorum = self.N - self.T
+        shares = [sign(r, m) for r in rings]
+        other = [sign(r, b"other") for r in rings]
+        return [
+            multisig.Multisignature(tuple(shares[:quorum])),
+            multisig.Multisignature(tuple(shares)),
+            multisig.Multisignature(tuple(shares[: quorum - 1] + [self._forged(shares[2])])),
+            multisig.Multisignature(tuple(shares[: quorum - 1] + other[2:3])),
+            multisig.Multisignature(()),
+            multisig.Multisignature(tuple(shares[:1] * quorum)),
+            multisig.Multisignature(tuple(shares[: quorum - 1])),
+        ]
+
+    @pytest.mark.parametrize("scheme", ["notary", "final"])
+    def test_multisig_verdicts_match_stateless_oracle(self, rings, scheme):
+        ring, m = rings[0], b"agg"
+        sign = getattr(type(ring), f"sign_{scheme}_share")
+        verify = getattr(ring, f"verify_{scheme}")
+        verify_share = getattr(ring, f"verify_{scheme}_share")
+        pk = getattr(ring._shared, f"{scheme}_pk")
+        cases = self._multisig_cases(rings, m, sign)
+        verify_share(m, cases[0].shares[0])  # some shares already judged
+        verdicts = [verify(m, agg) for agg in cases]
+        oracle = [ring._suite.multisig.verify(pk, m, agg) for agg in cases]
+        assert verdicts == oracle
+        assert verdicts == [True, True, False, False, False, False, False]
+
+    def test_beacon_verdicts_match_stateless_oracle(self, rings):
+        ring, m = rings[0], b"beacon"
+        pk = ring._shared.beacon_pk
+        h = self.T + 1
+        shares = [r.sign_beacon_share(m) for r in rings]
+        good = ring.combine_beacon(m, shares[:h])
+        bad_proof = threshold.SignatureShare(
+            index=shares[1].index,
+            value=shares[1].value,
+            proof=rings[1].sign_beacon_share(b"other").proof,
+        )
+        cases = [
+            good,
+            ring.combine_beacon(m, shares[2:]),
+            threshold.ThresholdSignature(good.value, (shares[0], bad_proof)),
+            threshold.ThresholdSignature(
+                good.value, (shares[0], rings[1].sign_beacon_share(b"other"))
+            ),
+            threshold.ThresholdSignature(good.value, ()),
+            threshold.ThresholdSignature(good.value, (shares[0], shares[0])),
+            threshold.ThresholdSignature(good.value * 2 % pk.group.p, good.shares),
+        ]
+        ring.verify_beacon_share(m, shares[0])  # some shares already judged
+        verdicts = [ring.verify_beacon(m, sig) for sig in cases]
+        oracle = [ring._suite.threshold.verify(pk, m, sig) for sig in cases]
+        assert verdicts == oracle
+        assert verdicts == [True, True, False, False, False, False, False]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cluster import ClusterConfig, build_cluster
-from repro.core.messages import Block, Payload
+from repro.core.messages import ROOT_HASH, Block, Payload
 from repro.crypto import fastpath
 from repro.crypto.group import group_for_profile
 from repro.sim.delays import FixedDelay
@@ -208,3 +208,55 @@ def test_warm_bases_builds_tables():
     built = ctx.warm_bases(publics)
     assert built == 4
     assert ctx.warm_bases(publics) == 0  # already cached
+
+
+def test_client_signature_with_non_member_r_rejected():
+    """R encoding 0, p-1 (order 2) or a value >= p fails the subgroup
+    check at decode; no such value enters the membership cache."""
+    auth = RealClientAuth(seed=21, group_profile="test")
+    group, ctx = auth.group, auth._suite.ctx
+    width = group.element_width
+    good = _request(auth, client=5, seq=2_000_001, key=5)
+    bad_values = [0, group.p - 1, group.p, (1 << (8 * width)) - 1]
+    forged = [
+        SignedRequest(
+            client=good.client, seq=good.seq, key=good.key,
+            auth=value.to_bytes(width, "big") + good.auth[width:], body=good.body,
+        )
+        for value in bad_values
+    ]
+    report = auth.verify_batch(forged + [good])
+    assert report.results == [False] * len(forged) + [True]
+    for value in bad_values:
+        assert value not in ctx._members
+
+
+def test_one_subgroup_test_per_client_signature(monkeypatch):
+    """Admission and the pool's block check share one subgroup test of each
+    request's R: one membership-cache miss and one R**q exponentiation.
+    (Two requests, so both checks take the RLC path; a batch of one goes to
+    the uncached per-item oracle.)"""
+    batcher = RequestBatcher(BatchSpec(auth="real"), seed=22)
+    auth = batcher.auth
+    group, ctx = auth.group, auth._suite.ctx
+    requests = [_request(auth, client=c, seq=3_000_001, key=c) for c in (6, 7)]
+    for request in requests:
+        assert ctx.is_member(auth.public(request.client))  # keys already known
+    subgroup_tests = []
+    powmod = ctx.backend.powmod
+
+    def counting(base, exponent, modulus):
+        if exponent == group.q:
+            subgroup_tests.append(base)
+        return powmod(base, exponent, modulus)
+
+    monkeypatch.setattr(ctx.backend, "powmod", counting)
+    before = ctx.stats.member_misses
+    assert batcher.admit_batch([(r, 0.0) for r in requests]) == len(requests)
+    block = Block(
+        round=1, proposer=1, parent_hash=ROOT_HASH,
+        payload=Payload(commands=tuple(r.wire() for r in requests)),
+    )
+    assert batcher.verify_block(block)
+    assert ctx.stats.member_misses == before + len(requests)
+    assert len(subgroup_tests) == len(requests)
