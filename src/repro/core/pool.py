@@ -16,42 +16,27 @@ recursive through parents, the pool propagates state changes through a
 child index rather than re-scanning (a notarization arriving for a parent
 may make a whole subtree of buffered children valid).
 
-Share verification is *lazy and batched* by default (``batch_verify``):
-arriving notarization/finalization/beacon shares pass cheap structural
-checks eagerly (signer-index consistency, duplicate detection against
-stored ∪ pending) but their signature crypto is queued and verified in one
-RLC batch (:mod:`repro.crypto.api` / :mod:`repro.crypto.fastpath`) the next
-time a query needs the answer.  Every query that observes shares flushes
-what it observes first, so observable pool state is identical to the
-eager path.  Three paths deliberately observe nothing and verify
-nothing: ``rounds_with_final_activity`` (served from an index that counts
-pending shares, so the finalization watcher verifies a round's shares only
-when it asks whether that round can combine), ``prune`` (pending shares of
-pruned rounds are dropped unverified), and ``artifact_count``.  A late
-share for a round the party already committed is therefore never
-verified.  The only divergences are forgery-only (and simulated
-adversaries never forge — see :mod:`repro.crypto.keyring`): ``add`` returns
-True for a queued share that a later flush drops, and re-adding a forged
-share before its flush counts as a duplicate rather than a second invalid.
-Set ``batch_verify=False`` (or ``ClusterConfig.crypto_batch=False``) to
-verify eagerly per message; experiment outputs are bit-identical either
-way.  Each flush emits a ``crypto.batch_verify`` trace event.
-
-**Cross-height flushing** (``flush_across_heights``, default on): queries
-flush only the pending shares they actually observe — per block hash for
-notarization/finalization shares, per round for beacon shares — so
-stragglers for *other* heights keep accumulating and are verified later in
-one larger RLC combination instead of many tiny ones.  This is what lets
-batches fill across heights at low traffic, where a height rarely has more
-than a handful of unverified shares at any query point.  Two safety valves
-bound the accumulation, both ``ClusterConfig``-tunable: ``flush_min_batch``
-(flush a share kind once that many shares are pending, 0 = off) and
-``flush_deadline`` (flush once the oldest pending share of a kind is older
-than this many simulated seconds, None = off).  Both triggers fire inside
-``add`` — never from a timer — so the event schedule, and therefore the
-whole run, stays deterministic.  Query results are bit-identical with the
-feature on or off: RLC verification accepts exactly the per-item oracle's
-set regardless of how shares are grouped into batches.
+Share verification is *lazy*: an arriving notarization, finalization or
+beacon share passes cheap structural checks in ``add`` (signer-index
+consistency, duplicate detection against stored ∪ pending) and is queued
+under its block hash (beacon shares: under their round).  A query that
+reads shares first verifies the queued shares of exactly the hashes or
+rounds it reads, with one ``Keyring.verify_*_share_batch`` call
+(:mod:`repro.crypto.api`); for a single item that call falls back to the
+per-item verifier and the keyring's verdict cache.  Shares filed under a
+key nobody reads are never verified.  Three paths deliberately observe
+nothing and verify nothing: ``rounds_with_final_activity`` (served from an
+index that counts pending shares, so the finalization watcher verifies a
+round's shares only when it asks whether that round can combine),
+``prune`` (pending shares of pruned rounds are dropped unverified), and
+``artifact_count``.  A late share for a round the party already committed
+is therefore never verified.  Query results equal those of verifying each
+share on arrival with the per-item oracle; the only divergences are
+forgery-only (and simulated adversaries never forge — see
+:mod:`repro.crypto.keyring`): ``add`` returns True for a queued share that
+a later query drops, and re-adding a forged share before it is verified
+counts as a duplicate rather than a second invalid.  Each verification
+call emits a ``crypto.batch_verify`` trace event.
 """
 
 from __future__ import annotations
@@ -86,14 +71,21 @@ class PoolStats:
     buffered_beacon_shares: int = 0
 
 
+def _notarization_signed(share: NotarizationShare) -> bytes:
+    return msg.notarization_message(share.round, share.proposer, share.block_hash)
+
+
+def _finalization_signed(share: FinalizationShare) -> bytes:
+    return msg.finalization_message(share.round, share.proposer, share.block_hash)
+
+
 class MessagePool:
     """Verified message store for one party."""
 
-    def __init__(self, keyring: Keyring, batch_verify: bool = True) -> None:
+    def __init__(self, keyring: Keyring) -> None:
         self._keys = keyring
         self.n = keyring.n
         self.t = keyring.t
-        self.batch_verify = batch_verify
         #: Optional payload batch-admission hook: ``verifier(block) -> bool``.
         #: Called once per *new* block; a False verdict drops the block as
         #: invalid.  The load pipeline installs
@@ -104,26 +96,11 @@ class MessagePool:
         self.payload_verifier = None
         self.stats = PoolStats()
 
-        #: Cross-height flushing knobs (see the module docstring).  Wired
-        #: from ``ClusterConfig.crypto_flush_*`` by ``build_cluster``.
-        self.flush_across_heights = True
-        self.flush_min_batch = 0
-        self.flush_deadline: float | None = None
-
         # Shares whose structural checks passed but whose signature crypto
-        # is deferred to the next flush (batch_verify mode only).  The
-        # ``_pending_*_count`` mirrors track total pending shares per kind
-        # (size trigger); ``_pending_*_since`` is the queue-time of the
-        # oldest pending share (deadline trigger), None when empty.
+        # waits for the first query that reads their key.
         self._pending_notar: dict[bytes, dict[int, NotarizationShare]] = defaultdict(dict)
         self._pending_final: dict[bytes, dict[int, FinalizationShare]] = defaultdict(dict)
         self._pending_beacon: dict[int, dict[int, BeaconShare]] = defaultdict(dict)
-        self._pending_notar_count = 0
-        self._pending_final_count = 0
-        self._pending_beacon_count = 0
-        self._pending_notar_since: float | None = None
-        self._pending_final_since: float | None = None
-        self._pending_beacon_since: float | None = None
 
         # Trace wiring (see repro.obs): the owning party binds its tracer
         # so verification drops and GC sweeps are attributable to a party.
@@ -250,19 +227,7 @@ class MessagePool:
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        if self.batch_verify:
-            self._pending_notar[h][share.signer] = share
-            self._pending_notar_count += 1
-            if self._pending_notar_since is None:
-                self._pending_notar_since = self._now()
-            if self._flush_due(self._pending_notar_count, self._pending_notar_since):
-                self._flush_notar()
-            return True
-        signed = msg.notarization_message(share.round, share.proposer, share.block_hash)
-        if not self._keys.verify_notary_share(signed, share.share):
-            self.stats.invalid_dropped += 1
-            return False
-        self._notar_shares[h][share.signer] = share
+        self._pending_notar[h][share.signer] = share
         return True
 
     def _add_notarization(self, notarization: Notarization) -> bool:
@@ -290,20 +255,7 @@ class MessagePool:
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        if self.batch_verify:
-            self._pending_final[h][share.signer] = share
-            self._note_final_round(share.round)
-            self._pending_final_count += 1
-            if self._pending_final_since is None:
-                self._pending_final_since = self._now()
-            if self._flush_due(self._pending_final_count, self._pending_final_since):
-                self._flush_final()
-            return True
-        signed = msg.finalization_message(share.round, share.proposer, share.block_hash)
-        if not self._keys.verify_final_share(signed, share.share):
-            self.stats.invalid_dropped += 1
-            return False
-        self._final_shares[h][share.signer] = share
+        self._pending_final[h][share.signer] = share
         self._note_final_round(share.round)
         return True
 
@@ -331,64 +283,21 @@ class MessagePool:
         ):
             self.stats.duplicates += 1
             return False
-        previous = self.beacon_values.get(share.round - 1)
-        if previous is None:
+        if share.round - 1 not in self.beacon_values:
             # Cannot verify until R_{k-1} is known; buffer for later.
             self._pending_beacon_shares[share.round].append(share)
             self.stats.buffered_beacon_shares += 1
             return True
-        return self._verify_and_store_beacon_share(share, previous)
+        return self._queue_beacon_share(share)
 
-    def _verify_and_store_beacon_share(self, share: BeaconShare, previous: bytes) -> bool:
+    def _queue_beacon_share(self, share: BeaconShare) -> bool:
         if self._keys.share_index(share.share) != share.signer:
             self.stats.invalid_dropped += 1
             return False
-        if self.batch_verify:
-            self._pending_beacon[share.round][share.signer] = share
-            self._pending_beacon_count += 1
-            if self._pending_beacon_since is None:
-                self._pending_beacon_since = self._now()
-            if self._flush_due(self._pending_beacon_count, self._pending_beacon_since):
-                self._flush_beacon()
-            return True
-        signed = msg.beacon_message(share.round, previous)
-        if not self._keys.verify_beacon_share(signed, share.share):
-            self.stats.invalid_dropped += 1
-            return False
-        self._beacon_shares[share.round][share.signer] = share
+        self._pending_beacon[share.round][share.signer] = share
         return True
 
-
-    # -- deferred batch verification ---------------------------------------
-
-    def _now(self) -> float:
-        return self._trace_sim.now if self._trace_sim is not None else 0.0
-
-    def _flush_due(self, count: int, since: float) -> bool:
-        """Size / deadline safety valves for cross-height accumulation."""
-        if self.flush_min_batch and count >= self.flush_min_batch:
-            return True
-        return (
-            self.flush_deadline is not None
-            and self._now() - since >= self.flush_deadline
-        )
-
-    @staticmethod
-    def _take_pending(pending: dict, keys, across: bool) -> list:
-        """Remove and return the pending shares a query is about to observe.
-
-        ``keys=None`` (or cross-height flushing disabled) drains the whole
-        dict; otherwise only the given keys are drained and shares for
-        other heights/rounds keep accumulating.  The caller passes keys in
-        a deterministic order — batch transcripts must not depend on set
-        iteration order.
-        """
-        if keys is None or not across:
-            buckets = list(pending.values())
-            pending.clear()
-        else:
-            buckets = [pending.pop(k) for k in keys if k in pending]
-        return [s for bucket in buckets for s in bucket.values()]
+    # -- deferred share verification -----------------------------------------
 
     def _emit_invalid(self, artifact: object, round: int | None) -> None:
         if self._meter.enabled:
@@ -423,85 +332,55 @@ class MessagePool:
                 },
             )
 
-    def _flush_notar(self, keys=None) -> None:
-        if not self._pending_notar:
+    def _flush(self, pending: dict, keys, verified: dict, signed, verify_batch,
+               scheme: str) -> None:
+        """Verify the queued shares filed under ``keys`` with one batch call.
+
+        Verified shares move from ``pending`` to ``verified`` under the same
+        key; forged ones are dropped and counted.  ``signed(share)`` rebuilds
+        the message a share signs.  Callers pass keys in a deterministic
+        order, so batch transcripts never depend on set iteration order.
+        """
+        if not pending:
             return
-        shares = self._take_pending(self._pending_notar, keys, self.flush_across_heights)
-        if self._pending_notar:
-            self._pending_notar_count -= len(shares)
-        else:
-            self._pending_notar_count = 0
-            self._pending_notar_since = None
-        if not shares:
-            return
-        items = [
-            (msg.notarization_message(s.round, s.proposer, s.block_hash), s.share)
-            for s in shares
+        batch = [
+            (key, share)
+            for key in keys if key in pending
+            for share in pending.pop(key).values()
         ]
-        report = self._keys.verify_notary_share_batch(items)
-        for share, ok in zip(shares, report.results):
+        if not batch:
+            return
+        report = verify_batch([(signed(share), share.share) for _, share in batch])
+        for (key, share), ok in zip(batch, report.results):
             if ok:
-                self._notar_shares[share.block_hash][share.signer] = share
+                verified[key][share.signer] = share
             else:
                 self.stats.invalid_dropped += 1
                 self._emit_invalid(share, share.round)
-        self._emit_batch("notary", report.stats)
+        self._emit_batch(scheme, report.stats)
 
-    def _flush_final(self, keys=None) -> None:
-        if not self._pending_final:
-            return
-        shares = self._take_pending(self._pending_final, keys, self.flush_across_heights)
-        if self._pending_final:
-            self._pending_final_count -= len(shares)
-        else:
-            self._pending_final_count = 0
-            self._pending_final_since = None
-        if not shares:
-            return
-        items = [
-            (msg.finalization_message(s.round, s.proposer, s.block_hash), s.share)
-            for s in shares
-        ]
-        report = self._keys.verify_final_share_batch(items)
-        for share, ok in zip(shares, report.results):
-            if ok:
-                self._final_shares[share.block_hash][share.signer] = share
-            else:
-                self.stats.invalid_dropped += 1
-                self._emit_invalid(share, share.round)
-        self._emit_batch("final", report.stats)
+    def _flush_notar(self, hashes) -> None:
+        self._flush(
+            self._pending_notar, hashes, self._notar_shares, _notarization_signed,
+            self._keys.verify_notary_share_batch, "notary",
+        )
 
-    def _flush_beacon(self, rounds=None) -> None:
-        if not self._pending_beacon:
-            return
-        shares = self._take_pending(self._pending_beacon, rounds, self.flush_across_heights)
-        if self._pending_beacon:
-            self._pending_beacon_count -= len(shares)
-        else:
-            self._pending_beacon_count = 0
-            self._pending_beacon_since = None
-        if not shares:
-            return
+    def _flush_final(self, hashes) -> None:
+        self._flush(
+            self._pending_final, hashes, self._final_shares, _finalization_signed,
+            self._keys.verify_final_share_batch, "final",
+        )
+
+    def _flush_beacon(self, rounds) -> None:
         # Only shares whose previous beacon value was known are ever queued,
-        # so the message reconstruction below cannot miss.
-        items = [
-            (msg.beacon_message(s.round, self.beacon_values[s.round - 1]), s.share)
-            for s in shares
-        ]
-        report = self._keys.verify_beacon_share_batch(items)
-        for share, ok in zip(shares, report.results):
-            if ok:
-                self._beacon_shares[share.round][share.signer] = share
-            else:
-                self.stats.invalid_dropped += 1
-                self._emit_invalid(share, share.round)
-        self._emit_batch("beacon", report.stats)
+        # so the message reconstruction cannot miss.
+        self._flush(
+            self._pending_beacon, rounds, self._beacon_shares, self._beacon_signed,
+            self._keys.verify_beacon_share_batch, "beacon",
+        )
 
-    def flush_pending(self) -> None:
-        """Run all deferred share verification now (a no-op when empty)."""
-        self._flush_notar()
-        self._flush_final()
-        self._flush_beacon()
+    def _beacon_signed(self, share: BeaconShare) -> bytes:
+        return msg.beacon_message(share.round, self.beacon_values[share.round - 1])
 
     # -- state propagation ----------------------------------------------------
 
@@ -700,10 +579,10 @@ class MessagePool:
                 share.signer not in self._beacon_shares.get(share.round, ())
                 and share.signer not in self._pending_beacon.get(share.round, ())
             ):
-                self._verify_and_store_beacon_share(share, value)
+                self._queue_beacon_share(share)
         if pending:
             # Verify the whole reveal in one batch right away so buffered
-            # garbage is counted at reveal time, as on the eager path.
+            # garbage is counted at reveal time.
             self._flush_beacon((round + 1,))
 
     def beacon_value(self, round: int) -> bytes | None:
@@ -785,17 +664,11 @@ class MessagePool:
             del self._pending_beacon_shares[round]
         # Verified and pending shares go by their own round, so buckets of
         # blocks that never arrived are freed too.
-        for verified in (self._notar_shares, self._final_shares, self._beacon_shares):
-            self._prune_shares(verified, before_round, doomed)
-        self._pending_notar_count -= self._prune_shares(self._pending_notar, before_round, doomed)
-        self._pending_final_count -= self._prune_shares(self._pending_final, before_round, doomed)
-        self._pending_beacon_count -= self._prune_shares(self._pending_beacon, before_round, doomed)
-        if not self._pending_notar:
-            self._pending_notar_since = None
-        if not self._pending_final:
-            self._pending_final_since = None
-        if not self._pending_beacon:
-            self._pending_beacon_since = None
+        for shares in (
+            self._notar_shares, self._final_shares, self._beacon_shares,
+            self._pending_notar, self._pending_final, self._pending_beacon,
+        ):
+            self._prune_shares(shares, before_round, doomed)
         del self._final_rounds[: bisect_left(self._final_rounds, before_round)]
         if self._tracer.enabled and doomed:
             self._tracer.emit(
@@ -809,11 +682,9 @@ class MessagePool:
         return len(doomed)
 
     @staticmethod
-    def _prune_shares(buckets: dict, before_round: int, doomed: set) -> int:
+    def _prune_shares(buckets: dict, before_round: int, doomed: set) -> None:
         """Drop the shares of pruned rounds or pruned blocks from a
-        ``key -> signer -> share`` map, and the buckets left empty;
-        returns how many shares were dropped."""
-        dropped = 0
+        ``key -> signer -> share`` map, and the buckets left empty."""
         for key in list(buckets):
             bucket = buckets[key]
             if key in doomed:
@@ -822,10 +693,8 @@ class MessagePool:
                 gone = [signer for signer, s in bucket.items() if s.round < before_round]
             for signer in gone:
                 del bucket[signer]
-            dropped += len(gone)
             if not bucket:
                 del buckets[key]
-        return dropped
 
     def artifact_count(self) -> int:
         """Pool size (for memory-boundedness tests and monitoring probes).

@@ -156,7 +156,7 @@ class DleqVerifier(_BatchVerifier):
         # Second equation g2**s == t2·B**c via Shamir's trick, rearranged to
         # g2**s · B**(-c) == t2 (B is a checked subgroup member, so the
         # negated exponent reduces mod q).
-        return fastpath.simultaneous_power(group.p, g2, s, b, (-c) % group.q, ctx.backend) == t2
+        return fastpath.simultaneous_power(group.p, g2, s, b, (-c) % group.q) == t2
 
     def _verify_batch(self, items: list[tuple]) -> list[bool]:
         return fastpath.batch_verify_dleq(self.ctx, [(pk, sig) for pk, _, sig in items])

@@ -72,60 +72,44 @@ _COEFF_BITS = 64
 # the ``window`` backend); it is re-exported above for compatibility.
 
 
-def multi_exp_small(
-    p: int, pairs: list[tuple[int, int]], backend: CryptoBackend | None = None
-) -> int:
+def multi_exp_small(p: int, pairs: list[tuple[int, int]]) -> int:
     """Π base_i^{e_i} mod p via Straus interleaving (shared squarings).
 
     Designed for the *small* (64-bit) RLC coefficients: the squaring chain
     is walked once for the whole product, so per-item cost is just the
     multiplications for that item's set bits (~32 for a 64-bit exponent).
-    Exponents must be non-negative.  The multiplication chain runs in the
-    backend's native integer type (``mpz`` for gmpy2, ``int`` otherwise).
+    Exponents must be non-negative.
     """
     if not pairs:
         return 1
-    if backend is None:
-        backend = active_backend()
-    wrap = backend.wrap
-    pm = wrap(p)
-    acc = wrap(1)
-    pairs = [(wrap(base), e) for base, e in pairs]
+    acc = 1
     max_bits = max(e.bit_length() for _, e in pairs)
     for bit in range(max_bits - 1, -1, -1):
-        acc = acc * acc % pm
+        acc = acc * acc % p
         for base, e in pairs:
             if (e >> bit) & 1:
-                acc = acc * base % pm
-    return backend.unwrap(acc)
+                acc = acc * base % p
+    return acc
 
 
-def simultaneous_power(
-    p: int, b1: int, e1: int, b2: int, e2: int, backend: CryptoBackend | None = None
-) -> int:
+def simultaneous_power(p: int, b1: int, e1: int, b2: int, e2: int) -> int:
     """b1^e1 · b2^e2 mod p via Shamir's trick (one shared squaring chain).
 
     The two-base product at the heart of every Schnorr/DLEQ equation check;
     roughly halves the squarings of computing the two powers separately.
     """
-    if backend is None:
-        backend = active_backend()
-    wrap = backend.wrap
-    pm = wrap(p)
-    b1 = wrap(b1)
-    b2 = wrap(b2)
-    b12 = b1 * b2 % pm
-    acc = wrap(1)
+    b12 = b1 * b2 % p
+    acc = 1
     for bit in range(max(e1.bit_length(), e2.bit_length()) - 1, -1, -1):
-        acc = acc * acc % pm
+        acc = acc * acc % p
         pick = ((e1 >> bit) & 1) | (((e2 >> bit) & 1) << 1)
         if pick == 3:
-            acc = acc * b12 % pm
+            acc = acc * b12 % p
         elif pick == 1:
-            acc = acc * b1 % pm
+            acc = acc * b1 % p
         elif pick == 2:
-            acc = acc * b2 % pm
-    return backend.unwrap(acc)
+            acc = acc * b2 % p
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +429,7 @@ def batch_verify_schnorr(
                 s_acc = (s_acc + r * s) % q
                 small.append((commitment, r))
                 per_key[pk] = (per_key.get(pk, 0) + r * c) % q
-            rhs = multi_exp_small(p, small, ctx.backend)
+            rhs = multi_exp_small(p, small)
             for pk, e in per_key.items():
                 rhs = rhs * ctx.power_base(pk, e) % p
             return ctx.power_g(s_acc) == rhs
@@ -526,7 +510,7 @@ def batch_verify_dleq(
             lhs = 1
             for base, e in lhs_exp.items():
                 lhs = lhs * powered(base, e) % p
-            rhs = multi_exp_small(p, small, ctx.backend)
+            rhs = multi_exp_small(p, small)
             for base, e in rhs_exp.items():
                 rhs = rhs * powered(base, e) % p
             return lhs == rhs

@@ -1,21 +1,18 @@
-"""Hot-path profile harness: crypto backends, event queues, flushing.
+"""Hot-path profile harness: crypto backends and event queues.
 
-The three hot paths attacked by the profile-guided optimisation pass, each
+Two hot paths attacked by the profile-guided optimisation pass, each
 benchmarked against its reference implementation:
 
 * **Crypto backends** — default-profile RLC batch verification through
   :func:`repro.crypto.api.verifiers_for` under every registered
-  :mod:`repro.crypto.backend` (``pure`` is the plain-``pow`` baseline;
-  unavailable backends such as ``gmpy2`` without the library are recorded
-  as ``"skipped"``, never errors).
+  :mod:`repro.crypto.backend` (``pure`` is the plain-``pow`` baseline).
 * **Event queue** — a seeded schedule/pop/cancel workload on the legacy
   :class:`repro.sim.events.HeapEventQueue` vs the calendar-queue default,
   with the pop orders compared entry by entry.
-* **Cross-height flushing** — pool flush counts and mean batch sizes with
-  :attr:`ClusterConfig.crypto_flush_across_heights` on vs off, plus
-  whole-cluster bit-identity checks: the same seeded deployment must
-  commit the identical chain under every backend, under both event
-  queues, and with flushing on or off (``results_identical``).
+
+Both feed whole-cluster bit-identity checks: the same seeded deployment
+must commit the identical chain under every backend and under both event
+queues (``results_identical``).
 
 ``python -m repro profile --json BENCH_hotpath.json`` writes the snapshot
 checked into the repository root; ``tools/bench_gate.py`` re-runs it in
@@ -34,7 +31,7 @@ from random import Random
 
 from ..crypto import schnorr
 from ..crypto.api import verifiers_for
-from ..crypto.backend import backend_available, backend_names, use_backend
+from ..crypto.backend import backend_names, use_backend
 from ..crypto.group import Group, group_for_profile
 from ..sim.events import CalendarEventQueue, HeapEventQueue
 
@@ -78,19 +75,15 @@ def bench_backends(
     """Per-backend batch-verification throughput on the ``profile`` group.
 
     Returns ``(table, identical)`` where ``table`` maps backend name to
-    ``{ops_per_sec, speedup}`` (or the string ``"skipped"``) and
-    ``identical`` is True iff every available backend returned the same
-    verdict list for the same batch.
+    ``{ops_per_sec, speedup}`` and ``identical`` is True iff every backend
+    returned the same verdict list for the same batch.
     """
     group = group_for_profile(profile)
     items = _schnorr_items(group, batch_size, seed)
-    table: dict[str, object] = {}
+    table: dict[str, dict] = {}
     ops: dict[str, float] = {}
     verdicts: list[list[bool]] = []
     for name in backend_names():
-        if not backend_available(name):
-            table[name] = "skipped"
-            continue
         with use_backend(name):
             suite = verifiers_for(group)
             verdicts.append(suite.schnorr.verify_batch(items))
@@ -183,8 +176,6 @@ def _run_cluster(
     *,
     backend: str | None = None,
     event_queue=None,
-    flush_across: bool = True,
-    meter=None,
 ):
     """One small seeded deployment on the real crypto backend.
 
@@ -197,8 +188,7 @@ def _run_cluster(
     config = ClusterConfig(
         n=4, t=1, delta_bound=0.3, epsilon=0.01,
         delay_model=FixedDelay(0.05), max_rounds=6, seed=seed,
-        crypto_backend="real", crypto_flush_across_heights=flush_across,
-        meter=meter,
+        crypto_backend="real",
     )
     sim = Simulation(seed=config.seed, event_queue=event_queue) if event_queue else None
 
@@ -219,39 +209,15 @@ def _run_cluster(
     return build_and_run()
 
 
-def check_chains_identical(seed: int) -> tuple[dict, bool]:
-    """Whole-run bit-identity across backends, queues and flush modes.
-
-    Also returns the pool flush statistics (flush count and mean batch
-    size) for the flushing-on and flushing-off runs, read from the
-    ``crypto.batch.size`` histogram.
-    """
-    from ..obs.metrics import Meter
-
+def check_chains_identical(seed: int) -> bool:
+    """Whole-run bit-identity across backends and event queues."""
     reference = _run_cluster(seed, backend=BASELINE_BACKEND)
     identical = True
     for name in backend_names():
-        if name == BASELINE_BACKEND or not backend_available(name):
-            continue
-        identical &= _run_cluster(seed, backend=name) == reference
+        if name != BASELINE_BACKEND:
+            identical &= _run_cluster(seed, backend=name) == reference
     identical &= _run_cluster(seed, event_queue=HeapEventQueue()) == reference
-
-    across_meter, within_meter = Meter(), Meter()
-    identical &= _run_cluster(seed, flush_across=True, meter=across_meter) == reference
-    identical &= _run_cluster(seed, flush_across=False, meter=within_meter) == reference
-
-    pool: dict[str, dict] = {}
-    for key, meter in (("across_heights", across_meter), ("within_height", within_meter)):
-        hist = meter.histogram("crypto.batch.size")
-        count = hist.count if hist is not None else 0
-        total = int(hist.total) if hist is not None else 0
-        mean = total / count if count else 0.0
-        pool[key] = {
-            "flushes": count,
-            "shares_verified": total,
-            "mean_batch": round(mean, 2),
-        }
-    return pool, identical
+    return identical
 
 
 def profile_hotspots(seed: int, top: int = 12) -> list[str]:
@@ -281,26 +247,19 @@ def run_profile(
     backends, backends_identical = bench_backends(
         profile, batch_size, min_seconds, seed
     )
-    measured = {
-        name: row for name, row in backends.items() if isinstance(row, dict)
-    }
-    best_backend = max(measured, key=lambda name: measured[name]["speedup"])
+    best_backend = max(backends, key=lambda name: backends[name]["speedup"])
     event_queue, queue_identical = bench_event_queue(min_seconds, seed)
-    pool, chains_identical = check_chains_identical(seed)
+    chains_identical = check_chains_identical(seed)
     return {
-        "benchmark": (
-            "hot-path profile: crypto backends, calendar event queue, "
-            "cross-height batch flushing"
-        ),
+        "benchmark": "hot-path profile: crypto backends, calendar event queue",
         "profile": profile,
         "group_bits": {"p": group.p.bit_length(), "q": group.q.bit_length()},
         "batch_size": batch_size,
         "seed": seed,
         "backends": backends,
         "best_backend": best_backend,
-        "best_speedup": measured[best_backend]["speedup"],
+        "best_speedup": backends[best_backend]["speedup"],
         "event_queue": event_queue,
-        "pool": pool,
         "results_identical": bool(
             backends_identical and queue_identical and chains_identical
         ),
@@ -314,24 +273,12 @@ def _print_report(report: dict) -> None:
     )
     print(f"{'backend':<10} {'batch ops/s':>13} {'vs pure':>8}")
     for name, row in report["backends"].items():
-        if row == "skipped":
-            print(f"{name:<10} {'skipped':>13} {'-':>8}")
-        else:
-            print(
-                f"{name:<10} {row['ops_per_sec']:>13.1f} {row['speedup']:>7.2f}x"
-            )
+        print(f"{name:<10} {row['ops_per_sec']:>13.1f} {row['speedup']:>7.2f}x")
     queue = report["event_queue"]
     print(
         f"event queue: heap {queue['heap_ops_per_sec']:.0f} ops/s, "
         f"calendar {queue['calendar_ops_per_sec']:.0f} ops/s "
         f"({queue['speedup']:.2f}x)"
-    )
-    pool = report["pool"]
-    print(
-        f"pool: within-height {pool['within_height']['flushes']} flushes / "
-        f"{pool['within_height']['shares_verified']} shares verified, "
-        f"across-heights {pool['across_heights']['flushes']} flushes / "
-        f"{pool['across_heights']['shares_verified']} shares verified"
     )
     print(f"results identical: {report['results_identical']}")
 
@@ -376,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         failures = []
         if report["results_identical"] is not True:
-            failures.append("results differ across backends/queues/flush modes")
+            failures.append("results differ across backends/event queues")
         if report["best_speedup"] < 1.0:
             failures.append(
                 f"best backend {report['best_backend']} slower than pure "

@@ -2,9 +2,7 @@
 
 The contract under test: every backend computes bit-identical values for
 every operation the group and fast path route through it, so backend
-choice is purely a performance decision.  ``gmpy2`` is exercised only
-when the library is importable — it must be reported unavailable, never
-installed.
+choice is purely a performance decision.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from repro.crypto.backend import (
     CryptoBackend,
     WindowBackend,
     active_backend,
-    available_backends,
-    backend_available,
     backend_names,
     get_backend,
     register_backend,
@@ -32,36 +28,22 @@ from random import Random
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"pure", "window", "gmpy2"} <= set(backend_names())
+        assert backend_names()[:2] == ["pure", "window"]
 
     def test_pure_and_window_always_available(self):
-        assert backend_available("pure")
-        assert backend_available("window")
-        assert {"pure", "window"} <= set(available_backends())
-
-    def test_available_backends_excludes_missing_gmpy2(self):
-        import importlib.util
-
-        present = importlib.util.find_spec("gmpy2") is not None
-        assert backend_available("gmpy2") == present
-        assert ("gmpy2" in available_backends()) == present
+        for name in ("pure", "window"):
+            assert get_backend(name).name == name
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             get_backend("quantum")
-
-    def test_get_backend_unavailable(self):
-        if backend_available("gmpy2"):
-            pytest.skip("gmpy2 installed in this environment")
-        with pytest.raises(ValueError, match="not available"):
-            get_backend("gmpy2")
 
     def test_get_backend_is_cached(self):
         assert get_backend("window") is get_backend("window")
 
     def test_register_custom_backend(self):
         name = "test-registry-custom"
-        register_backend(name, CryptoBackend, available=lambda: True)
+        register_backend(name, CryptoBackend)
         try:
             assert name in backend_names()
             assert isinstance(get_backend(name), CryptoBackend)
@@ -95,7 +77,7 @@ class TestRegistry:
 
 
 class TestBitIdentity:
-    """Every available backend computes the same numbers."""
+    """Every registered backend computes the same numbers."""
 
     def _ops(self, group):
         rng = Random(7)
@@ -112,7 +94,7 @@ class TestBitIdentity:
     def test_group_operations_identical(self, group):
         with use_backend("pure"):
             reference = self._ops(group)
-        for name in available_backends():
+        for name in backend_names():
             with use_backend(name):
                 assert self._ops(group) == reference, name
 
@@ -129,7 +111,7 @@ class TestBitIdentity:
         pk, message, sig = items[3]
         items[3] = (pk, message, type(sig)(sig.commitment, (sig.response + 1) % group.q))
         verdicts = []
-        for name in available_backends():
+        for name in backend_names():
             with use_backend(name):
                 suite = verifiers_for(group)
                 verdicts.append(suite.schnorr.verify_batch(items))
@@ -138,7 +120,7 @@ class TestBitIdentity:
         assert all(v == expected for v in verdicts)
 
     def test_fixed_power_matches_pow(self, group):
-        for name in available_backends():
+        for name in backend_names():
             power = get_backend(name).fixed_power(
                 group.g, group.p, group.q.bit_length()
             )

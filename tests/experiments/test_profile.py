@@ -29,7 +29,7 @@ def report():
     """One quick harness run shared by the shape/identity tests.
 
     The test group profile keeps the crypto leg cheap; the identity
-    checks inside always run the full backend/queue/flush matrix.
+    checks inside always run the full backend/queue matrix.
     """
     return profile_hotpath.run_profile(
         profile="test", batch_size=8, min_seconds=0.02, seed=0
@@ -38,7 +38,7 @@ def report():
 
 class TestRunProfile:
     def test_report_shape(self, report):
-        assert {"pure", "window", "gmpy2"} <= set(report["backends"])
+        assert set(report["backends"]) == {"pure", "window"}
         assert report["backends"]["pure"]["speedup"] == 1.0
         assert report["best_backend"] in report["backends"]
         queue = report["event_queue"]
@@ -47,23 +47,10 @@ class TestRunProfile:
         assert queue["speedup"] == pytest.approx(
             queue["calendar_ops_per_sec"] / queue["heap_ops_per_sec"], rel=0.01
         )
-        assert {"within_height", "across_heights"} <= set(report["pool"])
-
-    def test_unavailable_backends_marked_skipped(self, report):
-        if importlib.util.find_spec("gmpy2") is not None:
-            pytest.skip("gmpy2 installed in this environment")
-        assert report["backends"]["gmpy2"] == "skipped"
+        assert "pool" not in report
 
     def test_results_identical(self, report):
         assert report["results_identical"] is True
-
-    def test_cross_height_flushing_saves_verifications(self, report):
-        pool = report["pool"]
-        assert (
-            pool["across_heights"]["shares_verified"]
-            <= pool["within_height"]["shares_verified"]
-        )
-        assert pool["within_height"]["flushes"] > 0
 
     def test_queue_workload_identical_across_queues(self):
         from repro.sim.events import CalendarEventQueue, HeapEventQueue
@@ -90,7 +77,6 @@ def hotpath_report(best=3.0, queue=1.2, identical=True) -> dict:
         "backends": {
             "pure": {"ops_per_sec": 1000.0, "speedup": 1.0},
             "window": {"ops_per_sec": 1000.0 * best, "speedup": best},
-            "gmpy2": "skipped",
         },
         "best_backend": "window",
         "best_speedup": best,

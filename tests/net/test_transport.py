@@ -8,6 +8,8 @@ of milliseconds, not the production 50 ms-to-2 s ladder.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -311,6 +313,37 @@ class TestInbound:
         eof, received = run(scenario())
         assert eof == b""
         assert received == []
+
+
+class TestStop:
+    def test_stop_awaits_accept_tasks_and_releases_network(self):
+        """``stop`` returns only once every inbound accept task has
+        finished, so nothing the event loop still holds keeps the stopped
+        network (and through it the party and its pool) alive."""
+
+        async def scenario():
+            # One party and no peer links: stop() has nothing else to
+            # await, so only its own wait on the accept tasks can let
+            # them finish before it returns.
+            net, _ = await make_net(1, peer_map(1))
+            host, port = net.peers[1]
+            clients = [await asyncio.open_connection(host, port) for _ in range(2)]
+            await until(lambda: len(net._accept_tasks) == 2)
+            accept_tasks = list(net._accept_tasks)
+            await net.stop()
+            pending = [task for task in accept_tasks if not task.done()]
+            left = len(net._accept_tasks)
+            for _, writer in clients:
+                writer.close()
+            stopped = weakref.ref(net)
+            del net, accept_tasks
+            gc.collect()
+            return pending, left, stopped() is None
+
+        pending, left, released = run(scenario())
+        assert pending == []
+        assert left == 0
+        assert released
 
 
 class TestSimulatorOnly:

@@ -155,7 +155,6 @@ def hotpath_report(best=3.0, queue=1.3, identical=True) -> dict:
         "backends": {
             "pure": {"ops_per_sec": 1000.0, "speedup": 1.0},
             "window": {"ops_per_sec": 1000.0 * best, "speedup": best},
-            "gmpy2": "skipped",
         },
         "best_backend": "window",
         "best_speedup": best,
@@ -409,6 +408,8 @@ class TestCommittedSnapshots:
         assert report["results_identical"] is True
         assert report["best_speedup"] >= 2.0
         assert report["event_queue"]["speedup"] >= 1.0
+        assert all(isinstance(row, dict) for row in report["backends"].values())
+        assert "pool" not in report
         # Gating the committed snapshot against itself must pass.
         assert bench_gate.gate_hotpath(report, report, 0.25) == []
 
